@@ -120,17 +120,21 @@ func TestDualStackIPFIXIngestEndToEnd(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		// The Match records race the alert wait; poll until the pipeline
-		// has consumed every record.
+		// The Match records race the alert wait, and the sender counts an
+		// alert only after the write that delivered it returns. Poll until
+		// the pipeline has consumed every record and the sent counter has
+		// settled.
 		var m map[string]float64
 		for {
 			m = scrapeAdmin(t, tr, base+"/metrics")
-			if sumMetric(m, "infilter_pipeline_flows_total") >= float64(total) {
+			if sumMetric(m, "infilter_pipeline_flows_total") >= float64(total) &&
+				sumMetric(m, "infilter_alerts_sent_total") == float64(wantAlerts) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("pipeline analyzed %v flows, want %d",
-					sumMetric(m, "infilter_pipeline_flows_total"), total)
+				t.Fatalf("pipeline analyzed %v flows (want %d), sent %v alerts (want %d)",
+					sumMetric(m, "infilter_pipeline_flows_total"), total,
+					sumMetric(m, "infilter_alerts_sent_total"), wantAlerts)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}

@@ -346,17 +346,21 @@ func TestAdminMetricsEndToEnd(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 
-		// The legal flows race the alert wait; poll the scrape until every
-		// record has been analyzed.
+		// The legal flows race the alert wait, and the sender counts an
+		// alert only after the write that delivered it returns, which can
+		// be after the consumer has parsed it. Poll the scrape until every
+		// record has been analyzed and the sent counter has settled.
 		var m map[string]float64
 		for {
 			m = scrapeAdmin(t, tr, base+"/metrics")
-			if sumMetric(m, "infilter_pipeline_flows_total") >= float64(total) {
+			if sumMetric(m, "infilter_pipeline_flows_total") >= float64(total) &&
+				sumMetric(m, "infilter_alerts_sent_total") == float64(alerts.Load()) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("pipeline analyzed %v flows, want %d",
-					sumMetric(m, "infilter_pipeline_flows_total"), total)
+				t.Fatalf("pipeline analyzed %v flows (want %d), sent %v alerts (consumer got %d)",
+					sumMetric(m, "infilter_pipeline_flows_total"), total,
+					sumMetric(m, "infilter_alerts_sent_total"), alerts.Load())
 			}
 			time.Sleep(2 * time.Millisecond)
 		}

@@ -8,8 +8,7 @@
 // configuration, not API: Config.MaxRecords chooses between batched
 // delivery (the default, amortizing per-batch costs) and the classic
 // per-datagram path (MaxRecords 1 delivers every datagram's records the
-// moment they decode). The pre-unification constructors NewCollector and
-// NewBatchCollector remain as deprecated wrappers in deprecated.go.
+// moment they decode).
 package flowtools
 
 import (
@@ -73,12 +72,6 @@ type Source struct {
 	Exporter  string
 	Version   uint16
 }
-
-// RecordHandler is the per-datagram callback of the deprecated
-// NewCollector wrapper: the flow records parsed from one datagram plus
-// their Source. The records slice is reused by the receive loop and
-// valid only for the duration of the call.
-type RecordHandler func(src Source, recs []flow.Record)
 
 // ErrCollectorClosed is returned when Listen is called after Close.
 var ErrCollectorClosed = errors.New("flowtools: collector closed")

@@ -8,99 +8,11 @@ import (
 	"io"
 	"net"
 	"sync"
-
-	"infilter/internal/telemetry"
 )
 
 // Alert documents are framed on the wire by a blank line (consecutive
 // newlines), letting one TCP stream carry many alerts.
 var frameSep = []byte("\n\n")
-
-// SenderMetrics are the alert-sink runtime counters: alerts delivered,
-// write failures, and reconnects performed while recovering from one.
-type SenderMetrics struct {
-	Sent       *telemetry.Counter
-	SendErrors *telemetry.Counter
-	Reconnects *telemetry.Counter
-}
-
-// NewSenderMetrics registers the alert-sink counters on r.
-func NewSenderMetrics(r *telemetry.Registry) *SenderMetrics {
-	return &SenderMetrics{
-		Sent:       r.Counter("infilter_alerts_sent_total", "IDMEF alerts delivered to the consumer."),
-		SendErrors: r.Counter("infilter_alert_send_errors_total", "Alert writes that failed on the consumer connection."),
-		Reconnects: r.Counter("infilter_alert_reconnects_total", "Consumer connections re-established after a failed write."),
-	}
-}
-
-// Sender delivers alerts to an IDMEF consumer over TCP. A failed write
-// redials the consumer once and retries the alert, so a consumer restart
-// costs at most the alerts in flight during the outage.
-type Sender struct {
-	addr    string
-	metrics *SenderMetrics
-
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-// Dial connects to a consumer at addr.
-func Dial(addr string) (*Sender, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("idmef: dial %s: %w", addr, err)
-	}
-	return &Sender{addr: addr, conn: conn}, nil
-}
-
-// SetMetrics installs runtime counters (nil disables). It must be called
-// before the sender is shared with concurrent alert emitters.
-func (s *Sender) SetMetrics(m *SenderMetrics) { s.metrics = m }
-
-// Send transmits one alert. Safe for concurrent use. When the write
-// fails (consumer restarted, connection reset), the sender redials and
-// retries once before reporting the error.
-func (s *Sender) Send(a Alert) error {
-	raw, err := Marshal(a)
-	if err != nil {
-		return err
-	}
-	payload := append(raw, frameSep...)
-	m := s.metrics
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.conn.Write(payload); err != nil {
-		if m != nil {
-			m.SendErrors.Inc()
-		}
-		conn, derr := net.Dial("tcp", s.addr)
-		if derr != nil {
-			return fmt.Errorf("idmef: send alert %s: %w (redial: %v)", a.MessageID, err, derr)
-		}
-		s.conn.Close()
-		s.conn = conn
-		if m != nil {
-			m.Reconnects.Inc()
-		}
-		if _, err := s.conn.Write(payload); err != nil {
-			if m != nil {
-				m.SendErrors.Inc()
-			}
-			return fmt.Errorf("idmef: send alert %s after reconnect: %w", a.MessageID, err)
-		}
-	}
-	if m != nil {
-		m.Sent.Inc()
-	}
-	return nil
-}
-
-// Close closes the connection.
-func (s *Sender) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conn.Close()
-}
 
 // Consumer is the Alert-UI backend: a TCP listener that parses incoming
 // IDMEF documents and hands them to a handler.

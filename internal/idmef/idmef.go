@@ -1,8 +1,10 @@
 // Package idmef implements a compact subset of the Intrusion Detection
 // Message Exchange Format (IETF IDWG draft) used by the Enhanced InFilter
 // Analysis module to notify consumers of detected attacks (paper §5.1.4).
-// Alerts are serialized as IDMEF-Message XML documents; the consumer side
-// parses and dispatches them to a handler (the Alert UI role).
+// Alerts are serialized as IDMEF-Message XML documents by a hand-written
+// encoder whose output is byte-identical to encoding/xml's (see
+// appendAlert); the consumer side parses them with encoding/xml and
+// dispatches them to a handler (the Alert UI role).
 package idmef
 
 import (
@@ -77,14 +79,11 @@ func NewAlert(id string, now time.Time, stage Stage, peerAS int, classification 
 	}
 }
 
-// Marshal serializes the alert as an IDMEF-Message document.
+// Marshal serializes the alert as an IDMEF-Message document: the XML
+// header followed by the Message envelope indented two spaces per level,
+// exactly as xml.MarshalIndent(msg, "", "  ") would write it.
 func Marshal(a Alert) ([]byte, error) {
-	msg := Message{Version: IDMEFVersion, Alert: a}
-	out, err := xml.MarshalIndent(msg, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("idmef: marshal alert %s: %w", a.MessageID, err)
-	}
-	return append([]byte(xml.Header), out...), nil
+	return appendAlert(make([]byte, 0, alertSizeHint), a)
 }
 
 // Unmarshal parses an IDMEF-Message document.

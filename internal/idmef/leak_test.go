@@ -2,11 +2,13 @@ package idmef
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
 	"infilter/internal/flow"
 	"infilter/internal/netaddr"
+	"infilter/internal/telemetry"
 	"infilter/internal/testutil"
 )
 
@@ -81,4 +83,65 @@ func TestConsumerCloseWithLiveSender(t *testing.T) {
 
 func addr(port int) string {
 	return fmt.Sprintf("127.0.0.1:%d", port)
+}
+
+// TestSenderWriterExitsOnClose shows the sender's writer goroutine is
+// gone when Close returns, both with a live consumer and after the
+// consumer vanished (failed write, failed redial, alerts counted as
+// dropped).
+func TestSenderWriterExitsOnClose(t *testing.T) {
+	for _, consumerGone := range []bool{false, true} {
+		t.Run(fmt.Sprintf("consumerGone=%v", consumerGone), func(t *testing.T) {
+			testutil.ExpectNoGoroutineGrowth(t, func() {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				accepted := make(chan net.Conn, 1)
+				go func() {
+					if conn, err := ln.Accept(); err == nil {
+						accepted <- conn
+					}
+				}()
+				s, err := Dial(ln.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := NewSenderMetrics(telemetry.NewRegistry())
+				s.SetMetrics(m)
+				srv := <-accepted
+				go discard(srv)
+				if consumerGone {
+					ln.Close()
+					srv.Close()
+				}
+				// A write into a just-reset connection can still succeed;
+				// keep sending until the failure is seen.
+				deadline := time.Now().Add(5 * time.Second)
+				for i := 0; i < 3 || consumerGone && m.Dropped.Value() == 0; i++ {
+					if time.Now().After(deadline) {
+						t.Fatal("no dropped alert after the consumer went away")
+					}
+					if err := s.Send(sampleAlert(fmt.Sprintf("w%d", i))); err != nil {
+						t.Fatal(err)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if err := s.Close(); err != nil && !consumerGone {
+					t.Fatal(err)
+				}
+				select {
+				case <-s.done:
+				default:
+					t.Error("writer goroutine still running after Close")
+				}
+				if !consumerGone {
+					if got := m.Sent.Value(); got != 3 {
+						t.Errorf("sent = %d, want 3", got)
+					}
+					ln.Close()
+				}
+			})
+		})
+	}
 }
