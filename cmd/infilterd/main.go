@@ -18,7 +18,8 @@
 // multi-datagram reads), and decoded records are handed to the pipeline
 // in batches of up to -batch-size records. A partially filled batch is
 // flushed after -batch-timeout, so trickle traffic keeps per-record
-// detection latency. -batch-size 0 selects the classic per-record path.
+// detection latency. -batch-size 0 hands each datagram over as its own
+// batch the moment it arrives (the per-datagram path).
 //
 // Flows are analyzed by a sharded analysis.ParallelEngine: each peer AS
 // maps to one worker shard (-workers, default one per port), fed through a
@@ -138,7 +139,7 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		workers     = fs.Int("workers", 0, "analysis shards; flows route by peer AS (0: one per port)")
 		queueDepth  = fs.Int("queue-depth", analysis.DefaultQueueDepth, "bounded per-shard queue depth (backpressure)")
 		readers     = fs.Int("readers", 1, "UDP reader sockets per port (>1 uses SO_REUSEPORT; Linux only)")
-		batchSize   = fs.Int("batch-size", flowtools.DefaultBatchRecords, "flow records per ingest batch handed to the pipeline (0: per-record path)")
+		batchSize   = fs.Int("batch-size", flowtools.DefaultBatchRecords, "flow records per ingest batch handed to the pipeline (0: one batch per datagram)")
 		batchWait   = fs.Duration("batch-timeout", flowtools.DefaultFlushTimeout, "max wait before a partial ingest batch is flushed")
 		stateDir    = fs.String("state-dir", "", "warm-restart directory: EIA and NNS state checkpointed here and loaded on startup (empty: disabled)")
 		ckptPeriod  = fs.Duration("checkpoint-interval", checkpoint.DefaultInterval, "period between background checkpoints (with -state-dir)")
@@ -152,7 +153,6 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		hhStages    = fs.Int("heavy-hitter-stages", scan.DefaultHeavyHitterStages, "heavy-hitter sketch stages")
 		hhDecay     = fs.Int("heavy-hitter-decay-every", scan.DefaultHeavyHitterDecayEvery, "suspect flows between heavy-hitter counter-halving passes")
 		sketchK     = fs.Int("scan-sketch-k", sketch.DefaultK, "KMV registers per scan sketch (larger: more accurate distinct counts)")
-		exactScan   = fs.Bool("scan-exact-buffer", false, "use the bounded exact ring buffer for scan analysis instead of the streaming sketch")
 		ttlTol      = fs.Int("ttl-tolerance", 0, "TTL-profile hop tolerance for the second-opinion detector (0 disables the stage; EI mode only)")
 
 		clusterListen = fs.String("cluster-listen", "", "TCP address for inbound EIA snapshot replication (enables cluster mode)")
@@ -315,11 +315,8 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 	engine, err := analysis.NewParallelEngine(analysis.ParallelConfig{
 		Config: analysis.Config{
 			Mode: mode,
-			Scan: scan.Config{
-				ExactBuffer: *exactScan,
-				SketchK:     *sketchK,
-			},
-			TTL: scan.TTLConfig{Tolerance: *ttlTol},
+			Scan: scan.Config{SketchK: *sketchK},
+			TTL:  scan.TTLConfig{Tolerance: *ttlTol},
 			HeavyHitter: scan.HeavyHitterConfig{
 				Threshold:  *hhThreshold,
 				Stages:     *hhStages,
@@ -485,18 +482,17 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 			}
 		}
 	}
-	// Ingest path: one unified collector; batch shape is configuration.
-	// Batched by default (one SubmitBatch per delivered batch, classified
-	// against one EIA snapshot); -batch-size 0 runs the classic
-	// per-record path (MaxRecords 1 delivers every datagram immediately,
-	// submitted record by record).
+	// Ingest path: one unified collector and one handler; batch shape is
+	// configuration. Every delivered batch is one SubmitBatch, classified
+	// against one EIA snapshot. -batch-size 0 sets MaxRecords 1, which
+	// delivers every datagram as its own batch the moment it arrives.
 	ingestCfg := flowtools.Config{
 		Readers:      *readers,
-		MaxRecords:   *batchSize,
+		MaxRecords:   max(*batchSize, 1),
 		FlushTimeout: *batchWait,
 		ReadBuffer:   4 << 20,
 	}
-	handler := func(b flowtools.Batch) {
+	collector := flowtools.New(ingestCfg, func(b flowtools.Batch) {
 		peer, ok := lookupPeer(b.Port)
 		if !ok {
 			return
@@ -505,30 +501,14 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		if err := engine.SubmitBatch(peer, b.Records); err != nil {
 			return // engine closed: shutdown in progress
 		}
-	}
-	if *batchSize <= 0 {
-		ingestCfg.MaxRecords = 1
-		handler = func(b flowtools.Batch) {
-			peer, ok := lookupPeer(b.Port)
-			if !ok {
-				return
-			}
-			archive(b.Records)
-			for _, r := range b.Records {
-				if err := engine.Submit(peer, r); err != nil {
-					return // engine closed: shutdown in progress
-				}
-			}
-		}
-	}
-	collector := flowtools.New(ingestCfg, handler)
+	})
 	collector.SetMetrics(flowtools.NewIngestMetrics(reg))
 	collector.SetTemplateCache(templates)
 	if *batchSize > 0 {
 		log.Printf("batched ingest: %d reader(s)/port, batch-size %d, batch-timeout %s",
 			collector.Readers(), *batchSize, *batchWait)
 	} else {
-		log.Printf("per-record ingest (-batch-size 0)")
+		log.Printf("per-datagram ingest (-batch-size 0)")
 	}
 
 	bound := make([]int, 0, len(ports))

@@ -4,9 +4,13 @@
 // raising IDMEF alerts for flows that fail every stage and adapting EIA
 // sets to route changes via promotion of repeatedly-vouched sources.
 //
-// There is exactly one pipeline implementation (see core.go): Engine
-// drives it synchronously through a single shard, ParallelEngine through
-// N queue-fed shards. Serial and parallel behavior agree by construction.
+// There is one engine type, ParallelEngine (engine.go), and one pipeline
+// implementation (pipeline.decide). An engine owns N shards routed by peer
+// AS and has two drivers over the same per-shard code: Process and
+// ProcessBatch run on the caller's goroutine (NewEngine and Train build
+// the one-shard engine used this way), while Submit and SubmitBatch feed
+// per-shard queues drained by worker goroutines (parallel.go). Serial and
+// parallel behavior therefore agree by construction.
 package analysis
 
 import (
@@ -151,7 +155,7 @@ func (p *pipeline) decide(peer eia.PeerAS, rec flow.Record) (d Decision, scanFla
 
 // decideVerdict is the post-EIA tail of the pipeline: everything decide
 // does after the EIA-set classification. The batched path computes
-// verdicts for a whole batch up front (eia.Store.CheckBatch) and feeds
+// verdicts for a whole batch up front (eia.Store.CheckBatchPeer) and feeds
 // them here one record at a time; the caller owns the flow counter, EIA
 // stage timing and hit/miss accounting for that phase. The record is
 // passed by pointer (it is large) and not retained or mutated.
@@ -286,87 +290,4 @@ func (s *Stats) merge(other Stats) {
 	for k, v := range other.ByStage {
 		s.ByStage[k] += v
 	}
-}
-
-// Engine is the per-deployment analysis state: the one-shard synchronous
-// case of the shared pipeline core. Process runs the caller's goroutine
-// through the same code path a ParallelEngine worker executes. Process is
-// not safe for concurrent use (the single shard's scan buffer assumes one
-// driver); use ParallelEngine to process flows from many ingresses at
-// once.
-type Engine struct {
-	c *core
-}
-
-// NewEngine assembles an engine from pre-trained components. detector may
-// be nil only in ModeBasic. The set must not be mutated directly
-// afterwards (the engine's store adopts it).
-func NewEngine(cfg Config, set *eia.Set, detector *nns.Detector) (*Engine, error) {
-	c, err := newCore(cfg, set, detector, 1, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{c: c}, nil
-}
-
-// LabeledRecord pairs a flow record with the peer AS it entered through.
-type LabeledRecord struct {
-	Peer   eia.PeerAS
-	Record flow.Record
-}
-
-// Train builds a fully-trained engine from labeled normal traffic: the EIA
-// sets are initialized from the observed (source, peer) pairs (§5.1.3(a))
-// and, in enhanced mode, the normal cluster is partitioned and indexed for
-// NNS (§5.1.3(b-d)).
-func Train(cfg Config, normal []LabeledRecord) (*Engine, error) {
-	set, detector, err := trainComponents(cfg, normal)
-	if err != nil {
-		return nil, err
-	}
-	return NewEngine(cfg, set, detector)
-}
-
-// SetAlertSink installs a callback receiving an IDMEF alert per detected
-// attack. Pass nil to disable.
-func (e *Engine) SetAlertSink(fn func(idmef.Alert)) { e.c.alertFn = fn }
-
-// SetClock overrides the engine's clock (tests and replay).
-func (e *Engine) SetClock(now func() time.Time) { e.c.setClock(now) }
-
-// EIASet exposes the engine's EIA snapshot store (monitoring, tests,
-// checkpointing).
-func (e *Engine) EIASet() *eia.Store { return e.c.store }
-
-// Detector exposes the engine's trained NNS detector (nil in ModeBasic).
-func (e *Engine) Detector() *nns.Detector { return e.c.detector }
-
-// TTLProfile exposes the engine's shared TTL-profile table for
-// monitoring and checkpointing; nil when the stage is disabled.
-func (e *Engine) TTLProfile() *scan.TTLProfile { return e.c.ttl }
-
-// Stats returns a copy of the engine counters.
-func (e *Engine) Stats() Stats { return e.c.mergedStats() }
-
-// Process runs one flow through the normal-processing phase (§5.2, Figure
-// 12) and returns the decision.
-func (e *Engine) Process(peer eia.PeerAS, rec flow.Record) Decision {
-	return e.c.process(e.c.shards[0], peer, rec)
-}
-
-// ProcessBatch runs a labeled batch through the single shard: the whole
-// batch is classified against one EIA snapshot (refreshed after any
-// mid-batch promotion), then each record continues through the same
-// post-EIA stages Process runs. Observationally identical to calling
-// Process per record, in order.
-func (e *Engine) ProcessBatch(batch []LabeledRecord) {
-	s := e.c.shards[0]
-	if cap(s.items) < len(batch) {
-		s.items = make([]shardItem, len(batch))
-	}
-	items := s.items[:len(batch)]
-	for i, lr := range batch {
-		items[i] = shardItem{peer: lr.Peer, rec: lr.Record}
-	}
-	e.c.processBatch(s, items)
 }

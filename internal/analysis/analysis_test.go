@@ -59,7 +59,7 @@ func attackFlowRecords(t *testing.T, at trace.AttackType, seed int64, src string
 }
 
 // trainedEngine trains an EI engine on two peers' normal traffic.
-func trainedEngine(t *testing.T, mode Mode) *Engine {
+func trainedEngine(t *testing.T, mode Mode) *ParallelEngine {
 	t.Helper()
 	var labeled []LabeledRecord
 	for _, r := range flowsFromPackets(t, 1, 900, peer1Pfx) {

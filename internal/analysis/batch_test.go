@@ -3,7 +3,6 @@ package analysis
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -68,31 +67,87 @@ func runSerialReference(t *testing.T, w parallelWorkload, interleave []LabeledRe
 	return st, alerts, eiaState.Bytes()
 }
 
-// TestSerialBatchMatchesPerRecord replays the same interleave through
-// Engine.ProcessBatch at every pinned batch size: verdict counters,
-// alert counts and the EIA end-state must be identical to per-record
-// processing. Batch size 256 spans promotions, so a pass proves the
-// mid-batch snapshot refresh (tail re-check) works.
+// peerChunkBatches cuts every peer's stream into size-record chunks and
+// packs round k's chunks, one per peer, into one labeled batch. Each
+// batch is therefore workloadPeers same-peer runs of up to size records:
+// ProcessBatch has runs to split, and at size > 1 a promotion can land
+// mid-run, forcing the tail re-check.
+func peerChunkBatches(w parallelWorkload, size int) [][]LabeledRecord {
+	var out [][]LabeledRecord
+	for off := 0; ; off += size {
+		var batch []LabeledRecord
+		for p := 1; p <= workloadPeers; p++ {
+			stream := w.streams[eia.PeerAS(p)]
+			for i := off; i < off+size && i < len(stream); i++ {
+				batch = append(batch, LabeledRecord{Peer: eia.PeerAS(p), Record: stream[i]})
+			}
+		}
+		if len(batch) == 0 {
+			return out
+		}
+		out = append(out, batch)
+	}
+}
+
+// promotionIndices replays every peer's stream per record and returns,
+// per peer, the stream indices whose decision completed a promotion. Peer
+// address spaces are disjoint, so the indices do not depend on how the
+// peers' streams are interleaved.
+func promotionIndices(t *testing.T, w parallelWorkload, detector *nns.Detector) map[eia.PeerAS][]int {
+	t.Helper()
+	eng, err := NewEngine(w.cfg, freshTrainedSet(w.cfg, w.labeled), detector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[eia.PeerAS][]int)
+	for p := 1; p <= workloadPeers; p++ {
+		peer := eia.PeerAS(p)
+		for i, r := range w.streams[peer] {
+			if eng.Process(peer, r).Promoted {
+				out[peer] = append(out[peer], i)
+			}
+		}
+	}
+	return out
+}
+
+// TestSerialBatchMatchesPerRecord replays the per-peer chunks of
+// peerChunkBatches through ProcessBatch at every pinned batch size:
+// verdict counters, alert counts and the EIA end-state must be identical
+// to per-record processing. At sizes above 1 at least one promotion must
+// land mid-run, so a pass proves the mid-batch snapshot refresh (tail
+// re-check) works on the synchronous path.
 func TestSerialBatchMatchesPerRecord(t *testing.T) {
 	w := buildParallelWorkload(t)
 	interleave := interleaveRoundRobin(w)
 	want, wantAlerts, wantEIA := runSerialReference(t, w, interleave)
 	detector := mustDetector(t, w)
+	promoted := promotionIndices(t, w, detector)
 
 	for _, size := range batchSizes {
 		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
+			if size > 1 {
+				midRun := 0
+				for peer, idx := range promoted {
+					last := len(w.streams[peer]) - 1
+					for _, i := range idx {
+						if (i+1)%size != 0 && i != last {
+							midRun++
+						}
+					}
+				}
+				if midRun == 0 {
+					t.Fatal("no promotion lands mid-run; the tail re-check is not exercised")
+				}
+			}
 			eng, err := NewEngine(w.cfg, freshTrainedSet(w.cfg, w.labeled), detector)
 			if err != nil {
 				t.Fatal(err)
 			}
 			alerts := 0
 			eng.SetAlertSink(func(a idmef.Alert) { alerts++ })
-			for off := 0; off < len(interleave); off += size {
-				end := off + size
-				if end > len(interleave) {
-					end = len(interleave)
-				}
-				eng.ProcessBatch(interleave[off:end])
+			for _, batch := range peerChunkBatches(w, size) {
+				eng.ProcessBatch(batch)
 			}
 			if got := eng.Stats(); !reflect.DeepEqual(got, want) {
 				t.Errorf("batched stats = %+v, per-record = %+v", got, want)
@@ -177,48 +232,6 @@ func TestParallelBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSubmitLabeledBatchMatchesSerial drives the mixed-peer entry point:
-// the global interleave is chunked and fanned out by the engine itself.
-func TestSubmitLabeledBatchMatchesSerial(t *testing.T) {
-	w := buildParallelWorkload(t)
-	interleave := interleaveRoundRobin(w)
-	want, wantAlerts, _ := runSerialReference(t, w, interleave)
-	detector := mustDetector(t, w)
-
-	for _, size := range batchSizes {
-		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
-			pe, err := NewParallelEngine(
-				ParallelConfig{Config: w.cfg, Shards: 3, QueueDepth: 16},
-				freshTrainedSet(w.cfg, w.labeled), detector)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var alerts atomic.Int64
-			pe.SetAlertSink(func(a idmef.Alert) { alerts.Add(1) })
-			for off := 0; off < len(interleave); off += size {
-				end := off + size
-				if end > len(interleave) {
-					end = len(interleave)
-				}
-				if err := pe.SubmitLabeledBatch(interleave[off:end]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			pe.Flush()
-			got := pe.Stats()
-			if err := pe.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("labeled-batch stats = %+v, serial = %+v", got, want)
-			}
-			if int(alerts.Load()) != wantAlerts {
-				t.Errorf("labeled-batch alerts = %d, serial = %d", alerts.Load(), wantAlerts)
-			}
-		})
-	}
-}
-
 // mustDetector trains the shared read-only NNS detector once per test
 // (it is safe to share across engines; only the EIA set mutates).
 func mustDetector(t *testing.T, w parallelWorkload) *nns.Detector {
@@ -230,63 +243,8 @@ func mustDetector(t *testing.T, w parallelWorkload) *nns.Detector {
 	return detector
 }
 
-// TestBatchFanOutPartition is the property test for batch fan-out: for
-// random batches, the per-shard sub-batches are a partition of the input
-// preserving per-peer order — no record duplicated, dropped, or
-// reordered within a peer.
-func TestBatchFanOutPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 50; trial++ {
-		shards := 1 + rng.Intn(8)
-		n := rng.Intn(400)
-		batch := make([]LabeledRecord, n)
-		for i := range batch {
-			// SrcPort carries the input index so every record is unique
-			// and its original position recoverable.
-			batch[i] = LabeledRecord{
-				Peer: eia.PeerAS(rng.Intn(12)),
-				Record: flow.Record{Key: flow.Key{
-					Src:     netaddr.IPv4(rng.Uint32()).Addr(),
-					SrcPort: uint16(i),
-				}},
-			}
-		}
-		sub := fanOut(batch, make([][]shardItem, shards))
-
-		var flat []shardItem
-		for si, items := range sub {
-			for _, it := range items {
-				if int(it.peer)%shards != si {
-					t.Fatalf("trial %d: peer %d routed to shard %d of %d", trial, it.peer, si, shards)
-				}
-				flat = append(flat, it)
-			}
-		}
-		if len(flat) != n {
-			t.Fatalf("trial %d: %d records out, %d in", trial, len(flat), n)
-		}
-		seen := make(map[uint16]bool, n)
-		lastIdx := make(map[eia.PeerAS]int)
-		for _, it := range flat {
-			idx := it.rec.Key.SrcPort
-			if seen[idx] {
-				t.Fatalf("trial %d: record %d duplicated", trial, idx)
-			}
-			seen[idx] = true
-			orig := batch[idx]
-			if it.peer != orig.Peer || it.rec != orig.Record {
-				t.Fatalf("trial %d: record %d mutated in fan-out", trial, idx)
-			}
-			if last, ok := lastIdx[it.peer]; ok && int(idx) < last {
-				t.Fatalf("trial %d: peer %d reordered (%d after %d)", trial, it.peer, idx, last)
-			}
-			lastIdx[it.peer] = int(idx)
-		}
-	}
-}
-
 // TestParallelEngineBatchWorkerLeak cycles engines through the batched
-// entry points — including Close with batches still queued — and fails
+// entry point — including Close with batches still queued — and fails
 // on any worker goroutine left behind.
 func TestParallelEngineBatchWorkerLeak(t *testing.T) {
 	set := eia.NewSet(eia.Config{})
@@ -294,10 +252,6 @@ func TestParallelEngineBatchWorkerLeak(t *testing.T) {
 	recs := make([]flow.Record, 32)
 	for i := range recs {
 		recs[i] = flow.Record{Key: flow.Key{Src: netaddr.MustParseAddr("99.1.1.1")}}
-	}
-	labeled := make([]LabeledRecord, 32)
-	for i := range labeled {
-		labeled[i] = LabeledRecord{Peer: eia.PeerAS(i % 5), Record: recs[i%len(recs)]}
 	}
 	testutil.ExpectNoGoroutineGrowth(t, func() {
 		for i := 0; i < 5; i++ {
@@ -310,9 +264,6 @@ func TestParallelEngineBatchWorkerLeak(t *testing.T) {
 				if err := pe.SubmitBatch(eia.PeerAS(j%4+1), recs); err != nil {
 					t.Fatal(err)
 				}
-				if err := pe.SubmitLabeledBatch(labeled); err != nil {
-					t.Fatal(err)
-				}
 			}
 			// No Flush: Close must drain queued batches and stop cleanly.
 			if err := pe.Close(); err != nil {
@@ -320,9 +271,6 @@ func TestParallelEngineBatchWorkerLeak(t *testing.T) {
 			}
 			if err := pe.SubmitBatch(1, recs); err != ErrEngineClosed {
 				t.Fatalf("SubmitBatch after Close = %v, want ErrEngineClosed", err)
-			}
-			if err := pe.SubmitLabeledBatch(labeled); err != ErrEngineClosed {
-				t.Fatalf("SubmitLabeledBatch after Close = %v, want ErrEngineClosed", err)
 			}
 		}
 	})

@@ -70,11 +70,11 @@ func TestBloomTierVerdictStreamIdentical(t *testing.T) {
 	}
 }
 
-// TestBloomTierBatchMatchesExact replays the interleave through
-// Engine.ProcessBatch with the Bloom tier on, at every pinned batch
-// size: stats, alerts and the EIA end-state must match the tier-free
-// per-record reference. Batch size 256 spans promotions, so the
-// mid-batch snapshot refresh runs against freshly republished filters.
+// TestBloomTierBatchMatchesExact replays the per-peer chunks of
+// peerChunkBatches through ProcessBatch with the Bloom tier on, at every
+// pinned batch size: stats, alerts and the EIA end-state must match the
+// tier-free per-record reference. Chunks above size 1 span promotions, so
+// the mid-run snapshot refresh runs against freshly republished filters.
 func TestBloomTierBatchMatchesExact(t *testing.T) {
 	w := buildParallelWorkload(t)
 	interleave := interleaveRoundRobin(w)
@@ -91,12 +91,8 @@ func TestBloomTierBatchMatchesExact(t *testing.T) {
 				}
 				alerts := 0
 				eng.SetAlertSink(func(a idmef.Alert) { alerts++ })
-				for off := 0; off < len(interleave); off += size {
-					end := off + size
-					if end > len(interleave) {
-						end = len(interleave)
-					}
-					eng.ProcessBatch(interleave[off:end])
+				for _, batch := range peerChunkBatches(w, size) {
+					eng.ProcessBatch(batch)
 				}
 				if got := eng.Stats(); !reflect.DeepEqual(got, want) {
 					t.Errorf("bloom batched stats = %+v, exact per-record = %+v", got, want)

@@ -10,7 +10,7 @@ import (
 )
 
 // trainedEngineHH is trainedEngine with the heavy-hitter stage enabled.
-func trainedEngineHH(t *testing.T, threshold int) *Engine {
+func trainedEngineHH(t *testing.T, threshold int) *ParallelEngine {
 	t.Helper()
 	var labeled []LabeledRecord
 	for _, r := range flowsFromPackets(t, 1, 900, peer1Pfx) {
@@ -31,7 +31,7 @@ func trainedEngineHH(t *testing.T, threshold int) *Engine {
 
 func TestHeavyHitterStageDisabledByDefault(t *testing.T) {
 	eng := trainedEngine(t, ModeEnhanced)
-	if eng.c.shards[0].pl.hh != nil {
+	if eng.shards[0].pl.hh != nil {
 		t.Fatal("default config built a heavy-hitter stage")
 	}
 }

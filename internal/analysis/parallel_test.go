@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,29 +197,42 @@ func TestParallelEngineScanDetection(t *testing.T) {
 	}
 }
 
+// TestParallelEngineCloseSemantics pins Close on an engine whose workers
+// ran (queued flows drain before Close returns) and on one closed before
+// any submission started them: afterwards both Submit and SubmitBatch
+// return ErrEngineClosed, and a second Close is a no-op.
 func TestParallelEngineCloseSemantics(t *testing.T) {
 	set := eia.NewSet(eia.Config{})
 	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
-	pe, err := NewParallelEngine(ParallelConfig{Config: Config{Mode: ModeBasic}}, set, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := flow.Record{Key: flow.Key{Src: netaddr.MustParseAddr("61.1.1.1")}}
-	if err := pe.Submit(1, rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := pe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Queued flows were drained before Close returned.
-	if st := pe.Stats(); st.Processed != 1 {
-		t.Errorf("Processed = %d after Close, want 1", st.Processed)
-	}
-	if err := pe.Submit(1, rec); err != ErrEngineClosed {
-		t.Errorf("Submit after Close = %v, want ErrEngineClosed", err)
-	}
-	if err := pe.Close(); err != nil {
-		t.Errorf("second Close = %v", err)
+	for _, started := range []bool{true, false} {
+		pe, err := NewParallelEngine(ParallelConfig{Config: Config{Mode: ModeBasic}}, set, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if started {
+			if err := pe.Submit(1, rec); err != nil {
+				t.Fatal(err)
+			}
+			want = 1
+		}
+		if err := pe.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Queued flows were drained before Close returned.
+		if st := pe.Stats(); st.Processed != want {
+			t.Errorf("started=%v: Processed = %d after Close, want %d", started, st.Processed, want)
+		}
+		if err := pe.Submit(1, rec); err != ErrEngineClosed {
+			t.Errorf("started=%v: Submit after Close = %v, want ErrEngineClosed", started, err)
+		}
+		if err := pe.SubmitBatch(1, []flow.Record{rec, rec}); err != ErrEngineClosed {
+			t.Errorf("started=%v: SubmitBatch after Close = %v, want ErrEngineClosed", started, err)
+		}
+		if err := pe.Close(); err != nil {
+			t.Errorf("started=%v: second Close = %v", started, err)
+		}
 	}
 }
 
@@ -263,4 +277,70 @@ func TestParallelEngineWorkerLeak(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSynchronousEngineStartsNoGoroutine: an engine built by NewEngine or
+// Train and driven only through Process and ProcessBatch owns no
+// goroutine, so leaving it unclosed leaks nothing.
+func TestSynchronousEngineStartsNoGoroutine(t *testing.T) {
+	labeled := []LabeledRecord{
+		{Peer: 1, Record: flow.Record{Key: flow.Key{Src: netaddr.MustParseAddr("61.1.1.1")}}},
+		{Peer: 1, Record: flow.Record{Key: flow.Key{Src: netaddr.MustParseAddr("99.1.1.1")}}},
+		{Peer: 2, Record: flow.Record{Key: flow.Key{Src: netaddr.MustParseAddr("61.1.1.1")}}},
+	}
+	testutil.ExpectNoGoroutineGrowth(t, func() {
+		base := runtime.NumGoroutine()
+		set := eia.NewSet(eia.Config{})
+		set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+		built, err := NewEngine(Config{Mode: ModeBasic}, set, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trained, err := Train(Config{Mode: ModeBasic}, labeled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []*ParallelEngine{built, trained} {
+			for _, lr := range labeled {
+				eng.Process(lr.Peer, lr.Record)
+			}
+			eng.ProcessBatch(labeled)
+			if st := eng.Stats(); st.Processed != 2*len(labeled) {
+				t.Errorf("Processed = %d, want %d", st.Processed, 2*len(labeled))
+			}
+		}
+		// Both engines are still live: any worker would show here.
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("synchronous driving started %d goroutine(s)", n-base)
+		}
+	})
+}
+
+// TestProcessRoutesToShardFor: on a multi-shard engine, synchronous
+// driving lands every flow on its peer's shard (peer mod Shards), exactly
+// as Submit does, so per-shard scan state is the same under both drivers.
+func TestProcessRoutesToShardFor(t *testing.T) {
+	set := eia.NewSet(eia.Config{})
+	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	const shards = 3
+	pe, err := NewParallelEngine(ParallelConfig{Config: Config{Mode: ModeBasic}, Shards: shards}, set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := flow.Record{Key: flow.Key{Src: netaddr.MustParseAddr("99.1.1.1")}}
+	want := make([]int, shards)
+	var batch []LabeledRecord
+	for peer := eia.PeerAS(1); peer <= 7; peer++ {
+		for i := 0; i < int(peer); i++ {
+			pe.Process(peer, rec)
+			batch = append(batch, LabeledRecord{Peer: peer, Record: rec})
+		}
+		want[int(peer)%shards] += 2 * int(peer)
+	}
+	pe.ProcessBatch(batch)
+	for i, s := range pe.shards {
+		if s.stats.Processed != want[i] {
+			t.Errorf("shard %d processed %d flows, want %d", i, s.stats.Processed, want[i])
+		}
+	}
 }

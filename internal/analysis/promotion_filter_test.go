@@ -9,7 +9,7 @@ import (
 
 // trainedFilteredEngine is trainedEngine with a promotion filter
 // installed at construction.
-func trainedFilteredEngine(t *testing.T, filter func(eia.PeerAS) bool) *Engine {
+func trainedFilteredEngine(t *testing.T, filter func(eia.PeerAS) bool) *ParallelEngine {
 	t.Helper()
 	var labeled []LabeledRecord
 	for _, r := range flowsFromPackets(t, 1, 900, peer1Pfx) {

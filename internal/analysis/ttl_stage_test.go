@@ -25,7 +25,7 @@ func ttlStageConfig() Config {
 
 // ttlTrainedEngine trains a serial engine on peer-1 traffic and returns
 // it with one known-legal record (EIA Match) to replay.
-func ttlTrainedEngine(t *testing.T) (*Engine, flow.Record) {
+func ttlTrainedEngine(t *testing.T) (*ParallelEngine, flow.Record) {
 	t.Helper()
 	var labeled []LabeledRecord
 	for _, r := range flowsFromPackets(t, 1, 250, peer1Pfx) {
@@ -41,7 +41,7 @@ func ttlTrainedEngine(t *testing.T) (*Engine, flow.Record) {
 // benignSuspect returns a suspect-source copy of a training record that
 // the trained NNS detector assesses as normal, so the only stage that
 // can stop it is the TTL profile.
-func benignSuspect(t *testing.T, eng *Engine, legal flow.Record) flow.Record {
+func benignSuspect(t *testing.T, eng *ParallelEngine, legal flow.Record) flow.Record {
 	t.Helper()
 	rec := legal
 	rec.Key.Src = netaddr.MustParseAddr("99.77.4.10")

@@ -299,7 +299,7 @@ func (t *bloomTier) peerFilter(peer PeerAS) *bloom.Filter {
 }
 
 // probe runs the fast-tier case analysis for one (peer, source) check
-// against an already-fetched peer filter (hoisted by the batch paths).
+// against an already-fetched peer filter (hoisted by CheckBatchPeer).
 // It returns (Unknown, true) when the absence proof lands — no prefix of
 // src at any present length is in any set — and (0, false) when the
 // caller must confirm against the exact trie. The loops are specialized

@@ -83,8 +83,17 @@ func TestV4VerdictStreamEquivalence(t *testing.T) {
 		srcs[i] = netaddr.IPv4(v).Addr()
 	}
 
+	// Classify the stream through the batched lane, one CheckBatchPeer per
+	// run of same-peer records.
 	got := make([]Verdict, n)
-	store.CheckBatch(peers, srcs, got)
+	for a := 0; a < n; {
+		b := a + 1
+		for b < n && peers[b] == peers[a] {
+			b++
+		}
+		store.CheckBatchPeer(peers[a], srcs[a:b], got[a:b])
+		a = b
+	}
 
 	gotStream := make([]byte, n)
 	wantStream := make([]byte, n)

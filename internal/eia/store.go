@@ -186,77 +186,23 @@ func (c *Store) Check(peer PeerAS, src netaddr.Addr) Verdict {
 	return v
 }
 
-// CheckBatch classifies a batch of (peer, source) observations against a
-// single published snapshot: one atomic load amortized over the whole
-// batch, then one longest-prefix walk per entry over the same immutable
-// trie. The three slices must have equal length; out[i] receives the
-// verdict for (peers[i], srcs[i]).
+// CheckBatchPeer classifies a batch of sources observed at one peer — the
+// ingest shape, since a local export port maps to one peering link —
+// against a single published snapshot: one atomic load amortized over the
+// whole batch, then one longest-prefix walk per entry over the same
+// immutable trie. The two slices must have equal length; out[i] receives
+// the verdict for (peer, srcs[i]).
 //
-// Unlike Check, CheckBatch does NOT fold outcomes into the hit/miss
+// Unlike Check, CheckBatchPeer does NOT fold outcomes into the hit/miss
 // counters: a batched pipeline may refresh the still-unconsumed tail of a
 // batch after a mid-batch promotion swaps in a new snapshot, and counting
 // at check time would then count those entries twice. Consumers count
-// each verdict exactly once, at consumption time, via CountVerdict.
+// each verdict exactly once, at consumption time, via AddVerdictCounts.
 //
-// When the Bloom tier is enabled, batch checks adapt to the batch's
-// traffic mix: after bloomBypassAfter consecutive probes deferred to the
-// exact walk, the rest of the batch skips the probe (see the constant's
-// doc). Verdicts are identical with or without the bypass.
-func (c *Store) CheckBatch(peers []PeerAS, srcs []netaddr.Addr, out []Verdict) {
-	if len(peers) != len(srcs) || len(srcs) != len(out) {
-		panic("eia: CheckBatch slice lengths differ")
-	}
-	snap := c.snap.Load()
-	index := snap.index
-	if t := snap.tier; t != nil {
-		var fast, fall, fp int64
-		i, miss := 0, 0
-		for ; i < len(srcs) && miss < bloomBypassAfter; i++ {
-			src := srcs[i]
-			if v, ok := t.probe(t.peerFilter(peers[i]), src); ok {
-				out[i] = v
-				fast++
-				miss = 0
-				continue
-			}
-			fall++
-			miss++
-			expected, ok := index.Lookup(src)
-			switch {
-			case !ok:
-				out[i] = Unknown
-				fp++
-			case expected == peers[i]:
-				out[i] = Match
-			default:
-				out[i] = WrongPeer
-			}
-		}
-		// Bypass: the remainder runs the same lean walk-only loop as the
-		// tier-free path — segmenting (rather than branching per record)
-		// keeps the inlined trie walk's code tight for the common all-
-		// expected batch.
-		c.addBloomCounts(fast, fall, fp, int64(len(srcs)-i))
-		srcs, peers, out = srcs[i:], peers[i:], out[i:]
-	}
-	for i, src := range srcs {
-		expected, ok := index.Lookup(src)
-		switch {
-		case !ok:
-			out[i] = Unknown
-		case expected == peers[i]:
-			out[i] = Match
-		default:
-			out[i] = WrongPeer
-		}
-	}
-}
-
-// CheckBatchPeer is CheckBatch for the common ingest shape: a whole
-// batch observed at one peer (a local export port maps to one peering
-// link). One atomic snapshot load covers the batch; out[i] receives the
-// verdict for (peer, srcs[i]). Like CheckBatch it does not touch the
-// hit/miss counters — consumers count at consumption time.
+// When the Bloom tier is enabled, the batch adapts to its traffic mix:
+// after bloomBypassAfter consecutive probes deferred to the exact walk,
+// the rest of the batch skips the probe (see the constant's doc).
+// Verdicts are identical with or without the bypass.
 func (c *Store) CheckBatchPeer(peer PeerAS, srcs []netaddr.Addr, out []Verdict) {
 	if len(srcs) != len(out) {
 		panic("eia: CheckBatchPeer slice lengths differ")
@@ -288,8 +234,10 @@ func (c *Store) CheckBatchPeer(peer PeerAS, srcs []netaddr.Addr, out []Verdict) 
 				out[i] = WrongPeer
 			}
 		}
-		// Bypass: fall through to the lean walk-only loop below for the
-		// remainder (see CheckBatch).
+		// Bypass: the remainder runs the same lean walk-only loop as the
+		// tier-free path — segmenting (rather than branching per record)
+		// keeps the inlined trie walk's code tight for the common all-
+		// expected batch.
 		c.addBloomCounts(fast, fall, fp, int64(len(srcs)-i))
 		srcs, out = srcs[i:], out[i:]
 	}
@@ -325,20 +273,6 @@ func (c *Store) addBloomCounts(fast, fall, fp, bypassed int64) {
 		m.BloomFallbacks.Add(fall)
 		m.BloomFalsePositives.Add(fp)
 		m.BloomBypassed.Add(bypassed)
-	}
-}
-
-// CountVerdict folds one consumed verdict into the hit/miss counters,
-// exactly as Check does internally, attributed to the checked source's
-// address family. It pairs with CheckBatch: call it once per verdict
-// the batch actually acted on.
-func (c *Store) CountVerdict(v Verdict, fam netaddr.Family) {
-	if m := c.metrics; m != nil {
-		if v == Match {
-			m.Hits.Pick(fam == netaddr.FamilyV6).Inc()
-		} else {
-			m.Misses.Pick(fam == netaddr.FamilyV6).Inc()
-		}
 	}
 }
 

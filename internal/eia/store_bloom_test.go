@@ -49,8 +49,8 @@ func TestBloomDisabledByDefault(t *testing.T) {
 // randomized mutation-and-check schedule — training, re-homes,
 // promotions via RecordLegal, probes mixing known sources, near-misses
 // and random addresses — a tier-enabled store must emit exactly the
-// verdicts of a tier-free one, across Check, CheckBatch and
-// CheckBatchPeer. Run at a deliberately undersized 2 bits/entry too, so
+// verdicts of a tier-free one, across Check and CheckBatchPeer at every
+// peer. Run at a deliberately undersized 2 bits/entry too, so
 // heavy false-positive pressure exercises the fallback path hard.
 func TestBloomVerdictEquivalence(t *testing.T) {
 	for _, bits := range []int{2, 10} {
@@ -116,18 +116,13 @@ func TestBloomVerdictEquivalence(t *testing.T) {
 						bits, round, peers[i], srcs[i], got, want)
 				}
 			}
-			probed.CheckBatch(peers, srcs, gotB)
-			exact.CheckBatch(peers, srcs, wantB)
-			for i := range gotB {
-				if gotB[i] != wantB[i] {
-					t.Fatalf("bits=%d round %d: CheckBatch[%d] = %v, want %v", bits, round, i, gotB[i], wantB[i])
-				}
-			}
-			probed.CheckBatchPeer(peers[0], srcs, gotB)
-			exact.CheckBatchPeer(peers[0], srcs, wantB)
-			for i := range gotB {
-				if gotB[i] != wantB[i] {
-					t.Fatalf("bits=%d round %d: CheckBatchPeer[%d] = %v, want %v", bits, round, i, gotB[i], wantB[i])
+			for peer := PeerAS(0); peer < nPeers; peer++ {
+				probed.CheckBatchPeer(peer, srcs, gotB)
+				exact.CheckBatchPeer(peer, srcs, wantB)
+				for i := range gotB {
+					if gotB[i] != wantB[i] {
+						t.Fatalf("bits=%d round %d: CheckBatchPeer(%d)[%d] = %v, want %v", bits, round, peer, i, gotB[i], wantB[i])
+					}
 				}
 			}
 		}
@@ -292,35 +287,32 @@ func TestBloomBatchBypass(t *testing.T) {
 	m := NewMetrics(reg)
 	st.SetMetrics(m)
 
+	// Expected traffic: sources in one peer's own sets, so every probe
+	// defers to the walk.
 	const n = 256
+	peer := inserted[0].Peer
+	var mine []Assignment
+	for _, a := range inserted {
+		if a.Peer == peer {
+			mine = append(mine, a)
+		}
+	}
 	legal := make([]netaddr.Addr, n)
 	out := make([]Verdict, n)
 	for i := range legal {
-		a := inserted[i%len(inserted)]
-		legal[i] = v4In(a.Prefix, 1)
+		legal[i] = v4In(mine[i%len(mine)].Prefix, 1)
 	}
-	// Mixed-peer lane: sources in-set, so every probe defers to the walk.
-	peers := make([]PeerAS, n)
-	for i := range peers {
-		peers[i] = inserted[i%len(inserted)].Peer
-	}
-	st.CheckBatch(peers, legal, out)
+	st.CheckBatchPeer(peer, legal, out)
 	if got := m.BloomBypassed.Value(); got != n-bloomBypassAfter {
-		t.Errorf("CheckBatch on expected traffic bypassed %d probes, want %d", got, n-bloomBypassAfter)
+		t.Errorf("CheckBatchPeer on expected traffic bypassed %d probes, want %d", got, n-bloomBypassAfter)
 	}
 	if got := m.BloomFallbacks.Value(); got != bloomBypassAfter {
-		t.Errorf("CheckBatch on expected traffic fell back %d times, want %d", got, bloomBypassAfter)
+		t.Errorf("CheckBatchPeer on expected traffic fell back %d times, want %d", got, bloomBypassAfter)
 	}
 	for i := range out {
 		if out[i] != Match {
 			t.Fatalf("bypassed check [%d] = %v, want Match", i, out[i])
 		}
-	}
-
-	// Single-peer lane, same shape.
-	st.CheckBatchPeer(inserted[0].Peer, legal[:64], out[:64])
-	if got := m.BloomBypassed.Value(); got <= n-bloomBypassAfter {
-		t.Errorf("CheckBatchPeer on expected traffic never bypassed (total still %d)", got)
 	}
 
 	// A spoofed flood resolves on the fast path; the occasional filter

@@ -140,28 +140,30 @@ func TestStoreAdoptsSetState(t *testing.T) {
 	}
 }
 
-// TestStoreCheckBatchMatchesCheck replays a mixed batch through both the
-// per-record and the batched entry points: the verdicts must be
-// identical, since CheckBatch only amortizes the snapshot load.
+// TestStoreCheckBatchMatchesCheck replays one source column through the
+// batched entry point at every peer — two with EIA sets and one (9) with
+// none: the verdicts must be identical to per-record Check, since
+// CheckBatchPeer only amortizes the snapshot load.
 func TestStoreCheckBatchMatchesCheck(t *testing.T) {
 	cs := NewStore(nil)
 	cs.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
 	cs.AddPrefix(2, netaddr.MustParsePrefix("70.0.0.0/11"))
 
-	peers := []PeerAS{1, 1, 1, 2, 2, 9}
 	srcs := []netaddr.Addr{
-		netaddr.MustParseAddr("61.1.1.1"),  // Match
-		netaddr.MustParseAddr("70.1.1.1"),  // WrongPeer
-		netaddr.MustParseAddr("99.1.1.1"),  // Unknown
-		netaddr.MustParseAddr("70.31.0.9"), // Match
-		netaddr.MustParseAddr("61.0.0.1"),  // WrongPeer
-		netaddr.MustParseAddr("61.2.3.4"),  // WrongPeer (unknown peer)
+		netaddr.MustParseAddr("61.1.1.1"),  // Match at 1, WrongPeer at 2 and 9
+		netaddr.MustParseAddr("70.1.1.1"),  // Match at 2, WrongPeer at 1 and 9
+		netaddr.MustParseAddr("99.1.1.1"),  // Unknown everywhere
+		netaddr.MustParseAddr("70.31.0.9"), // Match at 2
+		netaddr.MustParseAddr("61.0.0.1"),  // Match at 1
+		netaddr.MustParseAddr("61.2.3.4"),  // WrongPeer at 9 (unknown peer)
 	}
-	out := make([]Verdict, len(peers))
-	cs.CheckBatch(peers, srcs, out)
-	for i := range peers {
-		if want := cs.Check(peers[i], srcs[i]); out[i] != want {
-			t.Errorf("entry %d: CheckBatch = %v, Check = %v", i, out[i], want)
+	out := make([]Verdict, len(srcs))
+	for _, peer := range []PeerAS{1, 2, 9} {
+		cs.CheckBatchPeer(peer, srcs, out)
+		for i := range srcs {
+			if want := cs.Check(peer, srcs[i]); out[i] != want {
+				t.Errorf("peer %d entry %d: CheckBatchPeer = %v, Check = %v", peer, i, out[i], want)
+			}
 		}
 	}
 
@@ -170,7 +172,7 @@ func TestStoreCheckBatchMatchesCheck(t *testing.T) {
 	for i := 0; i < DefaultPromoteThreshold; i++ {
 		cs.RecordLegal(9, srcs[5])
 	}
-	cs.CheckBatch(peers, srcs, out)
+	cs.CheckBatchPeer(9, srcs, out)
 	if out[5] != Match {
 		t.Errorf("post-promotion batch verdict = %v, want Match", out[5])
 	}
@@ -218,7 +220,7 @@ func TestStoreCheckBatchPeerLengthMismatchPanics(t *testing.T) {
 }
 
 // TestStoreAddVerdictCounts pins the bulk counting entry point the batch
-// consumers use in place of per-verdict CountVerdict calls.
+// consumers settle their consumed verdicts through.
 func TestStoreAddVerdictCounts(t *testing.T) {
 	cs := NewStore(nil)
 	cs.AddVerdictCounts(netaddr.FamilyV4, 1, 2) // no metrics installed: must not panic
@@ -238,20 +240,10 @@ func TestStoreAddVerdictCounts(t *testing.T) {
 	}
 }
 
-func TestStoreCheckBatchLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("CheckBatch with mismatched slice lengths did not panic")
-		}
-	}()
-	cs := NewStore(nil)
-	cs.CheckBatch(make([]PeerAS, 2), make([]netaddr.Addr, 2), make([]Verdict, 1))
-}
-
-// TestStoreCheckBatchMetrics pins the counting contract: CheckBatch
+// TestStoreCheckBatchMetrics pins the counting contract: CheckBatchPeer
 // leaves the hit/miss counters alone (a batched pipeline may re-check a
-// batch tail after a mid-batch promotion), and CountVerdict folds in
-// exactly one outcome per call — matching what Check does internally.
+// batch tail after a mid-batch promotion), and AddVerdictCounts folds in
+// exactly the consumed outcomes — matching what Check does internally.
 func TestStoreCheckBatchMetrics(t *testing.T) {
 	cs := NewStore(nil)
 	cs.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
@@ -262,22 +254,27 @@ func TestStoreCheckBatchMetrics(t *testing.T) {
 	}
 	cs.SetMetrics(m)
 
-	peers := []PeerAS{1, 1, 1}
 	srcs := []netaddr.Addr{
 		netaddr.MustParseAddr("61.1.1.1"), // Match
 		netaddr.MustParseAddr("99.1.1.1"), // Unknown
 		netaddr.MustParseAddr("99.2.2.2"), // Unknown
 	}
-	out := make([]Verdict, len(peers))
-	cs.CheckBatch(peers, srcs, out)
+	out := make([]Verdict, len(srcs))
+	cs.CheckBatchPeer(1, srcs, out)
 	if m.Hits.Value() != 0 || m.Misses.Value() != 0 {
-		t.Errorf("CheckBatch counted: hits=%d misses=%d, want 0/0", m.Hits.Value(), m.Misses.Value())
+		t.Errorf("CheckBatchPeer counted: hits=%d misses=%d, want 0/0", m.Hits.Value(), m.Misses.Value())
 	}
-	for i, v := range out {
-		cs.CountVerdict(v, srcs[i].Family())
+	var hits, misses int64
+	for _, v := range out {
+		if v == Match {
+			hits++
+		} else {
+			misses++
+		}
 	}
+	cs.AddVerdictCounts(netaddr.FamilyV4, hits, misses)
 	if m.Hits.Value() != 1 || m.Misses.Value() != 2 {
-		t.Errorf("after CountVerdict: hits=%d misses=%d, want 1/2", m.Hits.Value(), m.Misses.Value())
+		t.Errorf("after AddVerdictCounts: hits=%d misses=%d, want 1/2", m.Hits.Value(), m.Misses.Value())
 	}
 	// Per-record Check still counts inline.
 	cs.Check(1, srcs[0])

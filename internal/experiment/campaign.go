@@ -385,7 +385,7 @@ func campaignEventFlows(cfg CampaignConfig, hops []int, s int, window time.Durat
 // opinion aggregating at the /11 sub-block granularity the campaign's
 // address plan uses (every source behind a sub-block shares its peer's
 // path, so the aggregation is exact, not approximate).
-func campaignEngine(cfg CampaignConfig) (*analysis.Engine, error) {
+func campaignEngine(cfg CampaignConfig) (*analysis.ParallelEngine, error) {
 	set, err := preloadEIA()
 	if err != nil {
 		return nil, err

@@ -271,7 +271,7 @@ func runOnce(cfg Config, seed int64) (RunResult, error) {
 }
 
 // buildEngine trains the analysis engine for this run.
-func buildEngine(cfg Config, seed int64, set *eia.Set) (*analysis.Engine, error) {
+func buildEngine(cfg Config, seed int64, set *eia.Set) (*analysis.ParallelEngine, error) {
 	if cfg.Mode == analysis.ModeBasic {
 		return analysis.NewEngine(analysis.Config{Mode: analysis.ModeBasic}, set, nil)
 	}

@@ -1,11 +1,13 @@
 #!/bin/sh
-# Expanded tier-1 gate: vet + build + race-enabled tests + fuzz smoke.
+# Expanded tier-1 gate: vet + build + race-enabled tests + fuzz smoke,
+# then vet + tests of the nested perfbench module.
 #
 # The race run includes the serial/parallel equivalence stress test
 # (internal/analysis/parallel_test.go), the batch/serial equivalence
 # tests at batch sizes 1, 16 and 256 (internal/analysis/batch_test.go —
-# batched submission must be observationally identical to per-record
-# submission, including across mid-batch promotions), the cluster-mode
+# the one analysis engine's synchronous ProcessBatch, its queue-fed
+# SubmitBatch and per-record processing must be observationally
+# identical, including across mid-batch promotions), the cluster-mode
 # e2e suite (cmd/infilterd/cluster_daemon_test.go — two-node snapshot
 # convergence against a single-node union daemon, peer-down isolation,
 # and the 3-node in-process kill-one test inside a goroutine-leak gate)
@@ -15,7 +17,9 @@
 # worker outlives its Close. The fuzz smoke discovers every
 # native fuzz target in the module and runs each briefly against fresh
 # random inputs on top of the checked-in seed corpus, so new targets are
-# picked up without editing this script.
+# picked up without editing this script. perfbench is a nested module, so
+# `./...` never compiles it; its own step catches an internal API change
+# that would break the benchmark.
 #
 # Usage: scripts/check.sh [fuzztime]   (default fuzz smoke: 5s per target)
 set -eu
@@ -54,5 +58,8 @@ echo "$TARGETS" | while read -r pkg target; do
 	echo "--> $pkg $target"
 	go test -run=NoSuchTest -fuzz="^${target}\$" -fuzztime="$FUZZTIME" "$pkg" || exit 1
 done
+
+echo "==> perfbench: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> all checks passed"
