@@ -98,14 +98,6 @@ const (
 	ttlCheckpointName = "ttl.ckpt"
 )
 
-// ingester is the daemon's view of the unified flowtools.Collector
-// (batched or per-record depending on Config.MaxRecords).
-type ingester interface {
-	Listen(port int) (int, error)
-	Stats() (received, malformed int)
-	Close() error
-}
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -137,7 +129,7 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		captureDir  = fs.String("capture", "", "archive received flows into this directory (flow-capture role)")
 		statsPeriod = fs.Duration("stats", 30*time.Second, "period for stats logging")
 		workers     = fs.Int("workers", 0, "analysis shards; flows route by peer AS (0: one per port)")
-		queueDepth  = fs.Int("queue-depth", analysis.DefaultQueueDepth, "bounded per-shard queue depth (backpressure)")
+		queueDepth  = fs.Int("queue-depth", analysis.DefaultQueueDepth, "bounded per-shard queue depth in record batches (backpressure)")
 		readers     = fs.Int("readers", 1, "UDP reader sockets per port (>1 uses SO_REUSEPORT; Linux only)")
 		batchSize   = fs.Int("batch-size", flowtools.DefaultBatchRecords, "flow records per ingest batch handed to the pipeline (0: one batch per datagram)")
 		batchWait   = fs.Duration("batch-timeout", flowtools.DefaultFlushTimeout, "max wait before a partial ingest batch is flushed")
@@ -147,11 +139,6 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		tplTTL      = fs.Duration("template-ttl", netflow.DefaultTemplateTTL, "NetFlow v9/IPFIX templates unrefreshed this long expire")
 		orphanMax   = fs.Int("orphan-max", netflow.DefaultMaxOrphans, "max buffered v9/IPFIX data sets awaiting their template")
 		bloomBits   = fs.Int("eia-bloom-bits-per-entry", 10, "EIA Bloom fast-tier bits per prefix (0 disables the tier; verdicts are identical either way)")
-		bloomHashes = fs.Int("eia-bloom-hashes", 0, "EIA Bloom probes per query (0: derived from bits-per-entry)")
-		hhThreshold = fs.Int("heavy-hitter-threshold", 0, "suspect flows per source within the decay window to flag a flood source (0 disables the stage)")
-		hhCounters  = fs.Int("heavy-hitter-counters", scan.DefaultHeavyHitterCounters, "heavy-hitter sketch counters per stage (rounded up to a power of two)")
-		hhStages    = fs.Int("heavy-hitter-stages", scan.DefaultHeavyHitterStages, "heavy-hitter sketch stages")
-		hhDecay     = fs.Int("heavy-hitter-decay-every", scan.DefaultHeavyHitterDecayEvery, "suspect flows between heavy-hitter counter-halving passes")
 		sketchK     = fs.Int("scan-sketch-k", sketch.DefaultK, "KMV registers per scan sketch (larger: more accurate distinct counts)")
 		ttlTol      = fs.Int("ttl-tolerance", 0, "TTL-profile hop tolerance for the second-opinion detector (0 disables the stage; EI mode only)")
 
@@ -221,16 +208,13 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		}
 	}
 
-	if *bloomBits < 0 || *bloomHashes < 0 {
-		return fmt.Errorf("bad bloom settings: -eia-bloom-bits-per-entry %d -eia-bloom-hashes %d", *bloomBits, *bloomHashes)
+	if *bloomBits < 0 {
+		return fmt.Errorf("bad bloom settings: -eia-bloom-bits-per-entry %d", *bloomBits)
 	}
 	// The Bloom config rides on the Set: the engine's snapshot store adopts
 	// the Set's Config, and rebuilds the filters from whatever the trie
 	// holds — file preload, checkpoint, training — when it is constructed.
-	set := eia.NewSet(eia.Config{
-		BloomBitsPerEntry: *bloomBits,
-		BloomHashes:       *bloomHashes,
-	})
+	set := eia.NewSet(eia.Config{BloomBitsPerEntry: *bloomBits})
 	if *eiaFile != "" {
 		if err := loadEIAFile(set, *eiaFile); err != nil {
 			return err
@@ -314,15 +298,9 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 	}
 	engine, err := analysis.NewParallelEngine(analysis.ParallelConfig{
 		Config: analysis.Config{
-			Mode: mode,
-			Scan: scan.Config{SketchK: *sketchK},
-			TTL:  scan.TTLConfig{Tolerance: *ttlTol},
-			HeavyHitter: scan.HeavyHitterConfig{
-				Threshold:  *hhThreshold,
-				Stages:     *hhStages,
-				Counters:   *hhCounters,
-				DecayEvery: *hhDecay,
-			},
+			Mode:            mode,
+			Scan:            scan.Config{SketchK: *sketchK},
+			TTL:             scan.TTLConfig{Tolerance: *ttlTol},
 			PromotionFilter: promotionFilter,
 		},
 		Shards:     shards,
@@ -569,7 +547,7 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 // finally stop the admin server — last, so /metrics stays scrapable
 // through the drain. The first error is reported; later stages still
 // run.
-func shutdown(collector ingester, engine *analysis.ParallelEngine, clusterNode *cluster.Node, ckpt *checkpoint.Manager, capture *flowtools.Capture, sender *idmef.Sender, admin *adminServer) error {
+func shutdown(collector *flowtools.Collector, engine *analysis.ParallelEngine, clusterNode *cluster.Node, ckpt *checkpoint.Manager, capture *flowtools.Capture, sender *idmef.Sender, admin *adminServer) error {
 	var firstErr error
 	keep := func(err error) {
 		if err != nil && firstErr == nil {

@@ -767,6 +767,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-batch-size", "-1"},
 		{"-batch-timeout", "0s"},
 		{"-readers", "2", "-batch-size", "0"},
+		// Removed flags: a deployment script still passing one must fail
+		// loudly, not start a daemon that silently behaves differently.
+		{"-heavy-hitter-threshold", "5"},
+		{"-eia-bloom-hashes", "3"},
 	} {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("run(%v): want error", args)

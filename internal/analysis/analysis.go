@@ -56,13 +56,6 @@ type Config struct {
 	Scan scan.Config
 	// NNS tunes the anomaly detector (EI only).
 	NNS nns.DetectorConfig
-	// HeavyHitter tunes the bounded-memory flood-source identifier that
-	// runs in front of Scan Analysis (EI only). Disabled unless
-	// HeavyHitter.Threshold is positive — note that enabling it changes
-	// detection behavior (suspect flows from flood sources are flagged at
-	// the heavy-hitter stage instead of continuing to scan/NNS), unlike
-	// the EIA Bloom tier, which never alters verdicts.
-	HeavyHitter scan.HeavyHitterConfig
 	// TTL tunes the TTL-profile second-opinion detector (EI only).
 	// Disabled unless TTL.Tolerance is positive. When enabled, every
 	// TTL-bearing flow is checked against its source's learned hop
@@ -101,12 +94,11 @@ type Decision struct {
 
 // Stats accumulates engine counters.
 type Stats struct {
-	Processed   int
-	Suspects    int
-	Attacks     int
-	ByStage     map[idmef.Stage]int
-	Promotions  int
-	ScanFlagged int
+	Processed  int
+	Suspects   int
+	Attacks    int
+	ByStage    map[idmef.Stage]int
+	Promotions int
 }
 
 // pipeline is the normal-processing phase of §5.2 (Figure 12) over a set of
@@ -119,7 +111,6 @@ type Stats struct {
 type pipeline struct {
 	mode     Mode
 	eia      *eia.Store
-	hh       *scan.HeavyHitter // nil unless Config.HeavyHitter enables it
 	scanner  *scan.Analyzer
 	detector *nns.Detector
 	// ttl is the TTL-profile second-opinion table, nil unless Config.TTL
@@ -137,9 +128,8 @@ type pipeline struct {
 	metrics *shardMetrics
 }
 
-// decide runs one flow through the pipeline; scanFlagged reports whether
-// the scan stage fired (tracked separately from the Decision for stats).
-func (p *pipeline) decide(peer eia.PeerAS, rec flow.Record) (d Decision, scanFlagged bool) {
+// decide runs one flow through the pipeline.
+func (p *pipeline) decide(peer eia.PeerAS, rec flow.Record) Decision {
 	m := p.metrics
 	var t time.Time
 	if m != nil {
@@ -159,10 +149,10 @@ func (p *pipeline) decide(peer eia.PeerAS, rec flow.Record) (d Decision, scanFla
 // them here one record at a time; the caller owns the flow counter, EIA
 // stage timing and hit/miss accounting for that phase. The record is
 // passed by pointer (it is large) and not retained or mutated.
-func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdict) (d Decision, scanFlagged bool) {
+func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdict) Decision {
 	m := p.metrics
 	var t time.Time
-	d = Decision{Verdict: v}
+	d := Decision{Verdict: v}
 	if d.Verdict == eia.Match {
 		// Case (b): expected ingress. The TTL profile gets a second
 		// opinion: a source spoofed from a host behind the *same* peer
@@ -171,34 +161,16 @@ func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdic
 		if p.checkTTL(rec) {
 			d.Attack = true
 			d.Stage = idmef.StageTTL
-			return d, false
 		}
-		return d, false
+		return d
 	}
 	// Case (a): unexpected ingress or unknown source.
 	if p.mode == ModeBasic {
 		d.Attack = true
 		d.Stage = idmef.StageEIA
-		return d, false
+		return d
 	}
-	// Enhanced: heavy-hitter triage first (when enabled) — a source
-	// flooding suspect flows is flagged on volume alone, in O(1) memory,
-	// before it can churn the scan buffer.
-	if p.hh != nil {
-		if m != nil {
-			t = time.Now()
-		}
-		heavy := p.hh.Observe(rec.Key.Src)
-		if m != nil {
-			m.observeStage(stageHH, time.Since(t))
-		}
-		if heavy {
-			d.Attack = true
-			d.Stage = idmef.StageHeavyHitter
-			return d, false
-		}
-	}
-	// Then Scan Analysis.
+	// Enhanced: Scan Analysis first.
 	if m != nil {
 		t = time.Now()
 	}
@@ -209,7 +181,7 @@ func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdic
 	if res.Attack() {
 		d.Attack = true
 		d.Stage = idmef.StageScan
-		return d, true
+		return d
 	}
 	// Then NNS search against the flow's subcluster.
 	if m != nil {
@@ -222,7 +194,7 @@ func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdic
 	if d.Assessment.Anomalous {
 		d.Attack = true
 		d.Stage = idmef.StageNNS
-		return d, false
+		return d
 	}
 	// TTL second opinion before vouching: a suspect whose TTL contradicts
 	// the source's learned hop profile is flagged instead of vouched, so
@@ -231,7 +203,7 @@ func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdic
 	if p.checkTTL(rec) {
 		d.Attack = true
 		d.Stage = idmef.StageTTL
-		return d, false
+		return d
 	}
 	// Within normal behavior: vouch for the source; promote after enough
 	// confirmations so a route change stops raising suspicion (§5.2(a)).
@@ -240,7 +212,7 @@ func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdic
 	if p.promote == nil || p.promote(peer) {
 		d.Promoted = p.eia.RecordLegal(peer, rec.Key.Src)
 	}
-	return d, false
+	return d
 }
 
 // checkTTL runs the TTL-profile stage on one flow, with stage timing;
@@ -263,7 +235,7 @@ func (p *pipeline) checkTTL(rec *flow.Record) bool {
 }
 
 // record folds one decision into the counters.
-func (s *Stats) record(d Decision, scanFlagged bool) {
+func (s *Stats) record(d Decision) {
 	s.Processed++
 	if d.Verdict != eia.Match {
 		s.Suspects++
@@ -275,9 +247,6 @@ func (s *Stats) record(d Decision, scanFlagged bool) {
 	if d.Promoted {
 		s.Promotions++
 	}
-	if scanFlagged {
-		s.ScanFlagged++
-	}
 }
 
 // merge adds other's counters into s.
@@ -286,7 +255,6 @@ func (s *Stats) merge(other Stats) {
 	s.Suspects += other.Suspects
 	s.Attacks += other.Attacks
 	s.Promotions += other.Promotions
-	s.ScanFlagged += other.ScanFlagged
 	for k, v := range other.ByStage {
 		s.ByStage[k] += v
 	}

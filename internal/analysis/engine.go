@@ -27,7 +27,9 @@ type ParallelConfig struct {
 	// §3 carry over shard boundaries unchanged. Zero defaults to
 	// runtime.GOMAXPROCS(0).
 	Shards int
-	// QueueDepth bounds each shard's ingest queue. Submit blocks once a
+	// QueueDepth bounds each shard's ingest queue, counted in queued
+	// messages: one Submit record or one SubmitBatch batch (for
+	// infilterd, up to -batch-size records). Submit blocks once a
 	// shard's queue is full, pushing backpressure onto the producer (for
 	// infilterd, the UDP receive loops; the kernel sheds load beyond
 	// that). Zero defaults to DefaultQueueDepth.
@@ -148,15 +150,10 @@ func NewParallelEngine(cfg ParallelConfig, set *eia.Set, detector *nns.Detector)
 	}
 	for i := range e.shards {
 		scanner := scan.New(cfg.Scan)
-		var hh *scan.HeavyHitter
-		if cfg.Mode == ModeEnhanced {
-			hh = scan.NewHeavyHitter(cfg.HeavyHitter) // nil unless enabled
-		}
 		s := &shard{
 			pl: pipeline{
 				mode:     cfg.Mode,
 				eia:      e.store,
-				hh:       hh,
 				scanner:  scanner,
 				detector: detector,
 				ttl:      e.ttl,
@@ -167,7 +164,6 @@ func NewParallelEngine(cfg ParallelConfig, set *eia.Set, detector *nns.Detector)
 		}
 		if metrics != nil {
 			scanner.SetMetrics(metrics.scan)
-			hh.SetMetrics(metrics.hh)
 			s.pl.metrics = &metrics.shards[i]
 			s.blocks = metrics.shards[i].blocks
 			q := s.queue
@@ -319,11 +315,11 @@ func (e *ParallelEngine) ProcessBatch(batch []LabeledRecord) {
 // Process and the reference the batch path is tested against.
 func (e *ParallelEngine) process(s *shard, peer eia.PeerAS, rec flow.Record) Decision {
 	start := e.now()
-	d, scanFlagged := s.pl.decide(peer, rec)
+	d := s.pl.decide(peer, rec)
 	d.Latency = e.now().Sub(start)
 
 	s.mu.Lock()
-	s.stats.record(d, scanFlagged)
+	s.stats.record(d)
 	s.mu.Unlock()
 	if d.Attack {
 		e.emitAlert(peer, rec, d)
@@ -382,8 +378,8 @@ func (e *ParallelEngine) processPeerBatch(s *shard, peer eia.PeerAS, recs []flow
 		// its per-flow observations (amortized for EIA, direct for scan/NNS
 		// inside decideVerdict), so two clock reads per record would buy
 		// nothing and dominate the cheap legal-flow case.
-		d, scanFlagged := s.pl.decideVerdict(peer, &recs[i], verdicts[i])
-		batch.record(d, scanFlagged)
+		d := s.pl.decideVerdict(peer, &recs[i], verdicts[i])
+		batch.record(d)
 		if d.Attack {
 			e.emitAlert(peer, recs[i], d)
 		}

@@ -12,14 +12,13 @@ import (
 // Pipeline stages with their own latency histogram.
 const (
 	stageEIA = iota
-	stageHH
 	stageScan
 	stageNNS
 	stageTTL
 	numStages
 )
 
-var stageNames = [numStages]string{stageEIA: "eia", stageHH: "heavy-hitter", stageScan: "scan", stageNNS: "nns", stageTTL: "ttl"}
+var stageNames = [numStages]string{stageEIA: "eia", stageScan: "scan", stageNNS: "nns", stageTTL: "ttl"}
 
 // shardMetrics is one shard's private instrumentation. The counters are
 // exported per shard (labeled shard="i"); the stage histograms are
@@ -45,7 +44,6 @@ type PipelineMetrics struct {
 	reg    *telemetry.Registry
 	shards []shardMetrics
 	scan   *scan.Metrics
-	hh     *scan.HeavyHitterMetrics
 	ttl    *scan.TTLMetrics
 	eia    *eia.Metrics
 }
@@ -61,7 +59,6 @@ func NewPipelineMetrics(r *telemetry.Registry, shards int) *PipelineMetrics {
 		reg:    r,
 		shards: make([]shardMetrics, shards),
 		scan:   scan.NewMetrics(r),
-		hh:     scan.NewHeavyHitterMetrics(r),
 		ttl:    scan.NewTTLMetrics(r),
 		eia:    eia.NewMetrics(r),
 	}
@@ -106,7 +103,7 @@ func (m *PipelineMetrics) registerTTLSourcesGauge(p *scan.TTLProfile) {
 // registerQueueGauge exports one shard's live queue depth.
 func (m *PipelineMetrics) registerQueueGauge(i int, depth func() int64) {
 	m.reg.GaugeFunc("infilter_pipeline_queue_depth",
-		"Flows waiting in a shard's ingest queue.", depth,
+		"Record batches waiting in a shard's ingest queue.", depth,
 		telemetry.Label{Key: "shard", Value: strconv.Itoa(i)})
 }
 

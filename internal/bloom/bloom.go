@@ -1,7 +1,6 @@
-// Package bloom provides the probabilistic-membership substrate for the
-// EIA fast tier and the heavy-hitter stage: a cache-line-blocked Bloom
-// filter and a conservative-update counting sketch, both keyed by packed
-// uint64 values hashed with a seeded xxh3-style mix.
+// Package bloom provides the EIA fast tier's probabilistic-membership
+// substrate: a cache-line-blocked Bloom filter keyed by packed uint64
+// values hashed with a seeded xxh3-style mix.
 //
 // The filter is "blocked" (Putze, Sanders, Singler — Cache-, Hash- and
 // Space-Efficient Bloom Filters): the first hash selects one 512-bit

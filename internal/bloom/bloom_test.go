@@ -152,55 +152,6 @@ func TestHashMix(t *testing.T) {
 	}
 }
 
-func TestSketchConservativeUpdate(t *testing.T) {
-	s := NewSketch(4, 1024, 5)
-	for i := 0; i < 100; i++ {
-		s.Observe(77)
-	}
-	if got := s.Estimate(77); got < 100 {
-		t.Errorf("Estimate = %d after 100 observations, must never undercount", got)
-	}
-	// With 1024 counters and a handful of keys, collisions are absent and
-	// conservative update keeps single-key estimates exact.
-	if got := s.Estimate(77); got != 100 {
-		t.Errorf("Estimate = %d, want exactly 100 in a collision-free sketch", got)
-	}
-	if got := s.Estimate(78); got != 0 {
-		t.Errorf("unobserved key estimate = %d, want 0", got)
-	}
-}
-
-func TestSketchNeverUndercounts(t *testing.T) {
-	s := NewSketch(4, 64, 13) // small: force collisions
-	rng := rand.New(rand.NewSource(17))
-	truth := make(map[uint64]uint32)
-	for i := 0; i < 5000; i++ {
-		k := uint64(rng.Intn(300))
-		truth[k]++
-		s.Observe(k)
-	}
-	for k, n := range truth {
-		if got := s.Estimate(k); got < n {
-			t.Errorf("key %d: estimate %d under true count %d", k, got, n)
-		}
-	}
-}
-
-func TestSketchDecay(t *testing.T) {
-	s := NewSketch(4, 1024, 5)
-	for i := 0; i < 100; i++ {
-		s.Observe(9)
-	}
-	s.Decay()
-	if got := s.Estimate(9); got != 50 {
-		t.Errorf("after Decay estimate = %d, want 50", got)
-	}
-	s.Reset()
-	if got := s.Estimate(9); got != 0 {
-		t.Errorf("after Reset estimate = %d, want 0", got)
-	}
-}
-
 func BenchmarkFilterTestNegative(b *testing.B) {
 	f := New(1_000_000, 10, 0, 1)
 	rng := rand.New(rand.NewSource(3))
@@ -210,13 +161,5 @@ func BenchmarkFilterTestNegative(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Test(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-}
-
-func BenchmarkSketchObserve(b *testing.B) {
-	s := NewSketch(4, 4096, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Observe(uint64(i % 1024))
 	}
 }

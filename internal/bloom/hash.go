@@ -2,14 +2,14 @@ package bloom
 
 import "math/bits"
 
-// hash64 is the seeded 64-bit mix every structure in this package keys
-// its probes from. It is the XXH3-64 short-input (4–8 byte) path
-// specialized to exactly-8-byte little-endian keys: the two 32-bit input
-// halves are folded against the seed-perturbed secret and finished with
-// the rrmxmx avalanche. Specializing to the fixed width keeps the whole
-// hash branch-free and inlineable — the filter keys (masked address,
-// prefix length) and sketch keys (source address) are always packed into
-// one uint64 — while retaining xxh3's avalanche quality, which the
+// hash64 is the seeded 64-bit mix the filter keys its probes from. It is
+// the XXH3-64 short-input (4–8 byte) path specialized to exactly-8-byte
+// little-endian keys: the two 32-bit input halves are folded against the
+// seed-perturbed secret and finished with the rrmxmx avalanche.
+// Specializing to the fixed width keeps the whole hash branch-free and
+// inlineable — the filter keys (masked address, prefix length) and the
+// KMV keys hashed through Hash64 (an address) are always packed into one
+// uint64 — while retaining xxh3's avalanche quality, which the
 // double-hashing probe derivation below leans on.
 //
 // The two secret words are readLE64(kSecret+8) and readLE64(kSecret+16)

@@ -71,10 +71,6 @@ type Config struct {
 	// Zero (the default) disables the tier. Set-level checks (Set.Check)
 	// never use it.
 	BloomBitsPerEntry int
-	// BloomHashes fixes the probe count per Bloom query. Zero (the
-	// default) derives the information-optimal count from
-	// BloomBitsPerEntry.
-	BloomHashes int
 }
 
 // Defaults for Config.

@@ -243,11 +243,15 @@ func testCollectorReceives(t *testing.T, enc netflow.WireEncoder) {
 			srcs = append(srcs, Source{LocalPort: b.Port, Exporter: b.Exporter, Version: b.Version})
 		}
 	})
-	var err error
-	port, err = c.Listen(0)
+	// The read loop may run the handler before Listen returns (a stray
+	// datagram on a reused ephemeral port), so port is set under mu.
+	p, err := c.Listen(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mu.Lock()
+	port = p
+	mu.Unlock()
 	defer c.Close()
 
 	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)

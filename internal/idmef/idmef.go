@@ -20,11 +20,10 @@ type Stage string
 
 // Detection stages.
 const (
-	StageEIA         Stage = "eia-set"
-	StageHeavyHitter Stage = "heavy-hitter"
-	StageScan        Stage = "scan-analysis"
-	StageNNS         Stage = "nns-search"
-	StageTTL         Stage = "ttl-profile"
+	StageEIA  Stage = "eia-set"
+	StageScan Stage = "scan-analysis"
+	StageNNS  Stage = "nns-search"
+	StageTTL  Stage = "ttl-profile"
 )
 
 // Alert is the subset of an IDMEF Alert the prototype emits.

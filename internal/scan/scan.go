@@ -319,10 +319,10 @@ func (a *Analyzer) Reset() {
 	a.sinceRotate = 0
 }
 
-// sketchKey folds an address into the 64-bit key space shared by the
-// heavy-hitter sketch and the KMV registers. A v4 address keys exactly
-// as the pre-dual-stack stage did; v6 mixes both words (collisions only
-// inflate an estimate, which is the sketches' contract anyway).
+// sketchKey folds an address into the 64-bit key space of the KMV
+// registers. A v4 address keys as its 32-bit value; v6 mixes both words
+// (a collision only inflates a distinct-count estimate, which is the
+// sketch's contract anyway).
 func sketchKey(src netaddr.Addr) uint64 {
 	if v4, ok := src.V4(); ok {
 		return uint64(v4)
